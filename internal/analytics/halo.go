@@ -20,14 +20,22 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/par"
 )
 
 // Halo is the paper's retained send/receive queues for PageRank-like
-// phases. Building it costs one counting pass over local edges plus one
-// global-id exchange; afterwards every iteration refreshes all ghost copies
-// with a single value-only Alltoallv — the paper's two queue optimizations
-// (halve traffic by resending only values; never rebuild the queues).
+// phases. Building it costs a counting sort of this rank's ghosts (after
+// one flat mark pass over one CSR when it covers a single direction) plus
+// one global-id exchange; afterwards every iteration refreshes all ghost
+// copies with a single value-only Alltoallv — the paper's two queue
+// optimizations (halve traffic by resending only values; never rebuild the
+// queues).
+//
+// The build relies on the both-owners invariant that core.Build,
+// core.MergeDelta and the shard loader keep: every edge (u, v) is stored
+// twice, in the out-CSR at owner(u) and in the in-CSR at owner(v). So an
+// owned vertex must be shipped to rank d exactly when it is a ghost on d,
+// and each rank can request its ghosts from their owners instead of every
+// owner scanning its edges for the ranks that need them.
 type Halo struct {
 	// sendVerts lists the owned local ids whose value must be shipped,
 	// grouped by destination rank; sendCounts are the per-rank group
@@ -68,110 +76,75 @@ var DirsOut = Dirs{Out: true}
 // need).
 var DirsBoth = Dirs{Out: true, In: true}
 
-// BuildHalo constructs the retained queues for the given directions.
+// BuildHalo constructs the retained queues for the given directions from
+// this rank's ghost list (see Halo for the invariant this relies on).
 func BuildHalo(ctx *core.Ctx, g *core.Graph, dirs Dirs) (*Halo, error) {
 	if err := require1D(g, "halo exchange"); err != nil {
 		return nil, err
 	}
 	p := ctx.Size()
-	nt := ctx.Pool.Threads()
 
-	// Counting pass (Algorithm 1 lines 4-11): for each owned vertex, find
-	// the distinct remote ranks among its selected neighbors.
-	perThread := make([][]uint64, nt)
-	for t := range perThread {
-		perThread[t] = make([]uint64, p)
-	}
-	forEachDest := func(v uint32, tid int, emit func(dest int)) {
-		var seen [64]bool // fast path for p <= 64; falls back below
-		var seenBig []bool
-		if p > 64 {
-			seenBig = make([]bool, p)
-		}
-		mark := func(d int) bool {
-			if seenBig != nil {
-				if seenBig[d] {
-					return false
-				}
-				seenBig[d] = true
-				return true
-			}
-			if seen[d] {
-				return false
-			}
-			seen[d] = true
-			return true
-		}
-		scan := func(nbrs []uint32) {
-			for _, u := range nbrs {
-				if u < g.NLoc {
-					continue
-				}
-				d := int(g.GhostOwner[u-g.NLoc])
-				if mark(d) {
-					emit(d)
+	// The ghosts this rank needs values for. Out ships a vertex along its
+	// out-edges, so a ghost is needed here when it appears in this rank's
+	// in-CSR; In, when it appears in the out-CSR. Every ghost appears in
+	// one or the other, so DirsBoth needs all of them.
+	var need []bool // nil: every ghost
+	if !dirs.Out || !dirs.In {
+		need = make([]bool, g.NGst)
+		mark := func(edges []uint32) {
+			for _, u := range edges {
+				if u >= g.NLoc {
+					need[u-g.NLoc] = true
 				}
 			}
 		}
 		if dirs.Out {
-			scan(g.OutNeighbors(v))
+			mark(g.InEdges)
 		}
 		if dirs.In {
-			scan(g.InNeighbors(v))
+			mark(g.OutEdges)
 		}
 	}
-	ctx.Pool.For(int(g.NLoc), func(lo, hi, tid int) {
-		counts := perThread[tid]
-		for v := lo; v < hi; v++ {
-			forEachDest(uint32(v), tid, func(d int) { counts[d]++ })
-		}
-	})
-	counts := make([]uint64, p)
-	for _, tc := range perThread {
-		for d, c := range tc {
-			counts[d] += c
+
+	// Counting sort of the needed ghosts by owner: the receive geometry.
+	recvSegs := make([]int, p)
+	for i, o := range g.GhostOwner {
+		if need == nil || need[i] {
+			recvSegs[o]++
 		}
 	}
-	offsets, total := par.ExclusivePrefixSum(counts)
-
-	// Fill pass (Algorithm 3): thread-local queues drain into the grouped
-	// vertex list.
-	sendVerts := make([]uint32, total)
-	shared := par.NewShared(offsets, func(dest int, base uint64, items []uint32) {
-		copy(sendVerts[base:base+uint64(len(items))], items)
-	})
-	ctx.Pool.Run(func(tid int) {
-		lo, hi := par.ThreadRange(int(g.NLoc), nt, tid)
-		buf := shared.Buf(512)
-		for v := lo; v < hi; v++ {
-			forEachDest(uint32(v), tid, func(d int) { buf.Push(d, uint32(v)) })
-		}
-		buf.Flush()
-	})
-
-	sendCounts := make([]int, p)
-	for d, c := range counts {
-		sendCounts[d] = int(c)
+	next := make([]int, p)
+	total := 0
+	for r, c := range recvSegs {
+		next[r] = total
+		total += c
 	}
-
-	// One-time global-id exchange; receivers convert to ghost local ids
-	// once and retain them (the paper's "replace global ids with local ids
-	// in vRecv" optimization).
+	recvLids := make([]uint32, total)
 	gids := make([]uint32, total)
-	for i, v := range sendVerts {
-		gids[i] = g.GlobalID(v)
+	for i, o := range g.GhostOwner {
+		if need == nil || need[i] {
+			lid := g.NLoc + uint32(i)
+			recvLids[next[o]] = lid
+			gids[next[o]] = g.GlobalID(lid)
+			next[o]++
+		}
 	}
-	recvGids, recvSegs, err := comm.Alltoallv(ctx.Comm, gids, sendCounts)
+
+	// One-time global-id exchange, ghost holder to owner: each owner learns
+	// which of its vertices every peer needs, in the peer's slot order, and
+	// converts them to local ids once (the paper's "replace global ids with
+	// local ids in vRecv" optimization, done on the sending side).
+	req, sendCounts, err := comm.Alltoallv(ctx.Comm, gids, recvSegs)
 	if err != nil {
 		return nil, err
 	}
-	recvLids := make([]uint32, len(recvGids))
-	for i, gid := range recvGids {
+	sendVerts := make([]uint32, len(req))
+	for i, gid := range req {
 		lid := g.LocalID(gid)
-		if lid == core.InvalidLocal || lid < g.NLoc {
-			return nil, fmt.Errorf("analytics: halo received vertex %d that is not a ghost here", gid)
+		if lid == core.InvalidLocal || lid >= g.NLoc {
+			return nil, fmt.Errorf("analytics: halo peer requested vertex %d, which rank %d does not own", gid, g.Rank())
 		}
-		recvLids[i] = lid
+		sendVerts[i] = lid
 	}
 	return &Halo{
 		sendVerts:  sendVerts,

@@ -258,8 +258,10 @@ type JobResult struct {
 	Applied uint64 `json:"applied,omitempty"`
 	// Epoch is the graph epoch after a mutate/compact job.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Compacted reports whether a compact job swapped every shard (false
-	// means a mutation raced the merge and the compaction was skipped).
+	// Compacted reports whether a compact job left every shard swapped at
+	// its version, completing the epoch swap (false means a mutation raced
+	// a merge, some shards are still to swap, or the version was already
+	// compacted).
 	Compacted bool `json:"compacted,omitempty"`
 	// Persisted reports whether a snapshot job committed its manifest;
 	// Detail carries its failure reason when it did not. Applied counts the

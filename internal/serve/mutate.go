@@ -120,12 +120,18 @@ func (st *shardState) materialize() error {
 // trySwap promotes the cached materialization to be the new base iff it is
 // current for exactly the requested version: the overlay restarts empty
 // over the new base, keeping the replay watermark. version is broadcast in
-// the compact descriptor, so every slot takes the same branch.
-func (st *shardState) trySwap(version uint64) bool {
+// the compact descriptor, so every slot takes the same branch. current
+// reports whether the shard is compacted at version afterwards — swapped
+// by this call, or by an earlier compaction at the same version that other
+// shards did not complete — and swapped whether this call did the swap.
+func (st *shardState) trySwap(version uint64) (current, swapped bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if version == 0 || st.versionLocked() != version || st.compactV == version {
-		return false
+	if version == 0 || st.versionLocked() != version {
+		return false, false
+	}
+	if st.compactV == version {
+		return true, false
 	}
 	// A shard that received no records from the applied batches has an
 	// overlay of empty frames: nothing to merge, compaction is just the
@@ -133,7 +139,7 @@ func (st *shardState) trySwap(version uint64) bool {
 	// only some shards) could never complete a full swap.
 	if !st.delta.Empty() {
 		if st.merged == nil {
-			return false
+			return false, false
 		}
 		st.base = st.merged
 	}
@@ -142,7 +148,7 @@ func (st *shardState) trySwap(version uint64) bool {
 	d := core.NewDelta(st.base)
 	d.FastForward(version)
 	st.delta = d
-	return true
+	return true, true
 }
 
 // overlayStats snapshots the overlay counters.
@@ -251,19 +257,26 @@ func (cl *Cluster) runMutate(ctx *core.Ctx, sc *slotState, job *analytics.Job) (
 
 // runCompact is the rank-side epoch swap: each slot promotes its cached
 // materialization iff it is current for the broadcast version, and the
-// group agrees on how many swapped. The overlay version is uniform across
-// slots (batches are collective), so a compaction either swaps every shard
-// or — when a mutate raced the merge — none.
+// group agrees on how many shards are current and how many swapped now.
+// The overlay version is uniform across slots (batches are collective), so
+// a compaction swaps every shard, or none when a mutate raced the merge, or
+// — when one shard's merge raced a batch the others never saw — some. A
+// retry at the same version swaps the rest; the epoch bumps on the call
+// that makes the last shard current, so exactly once per version.
 func (cl *Cluster) runCompact(ctx *core.Ctx, sc *slotState, job *analytics.Job) (*analytics.JobResult, error) {
-	swapped := uint64(0)
-	if sc.state.trySwap(job.CompactVersion) {
-		swapped = 1
+	mine := []uint64{0, 0} // current, swapped
+	current, swapped := sc.state.trySwap(job.CompactVersion)
+	if current {
+		mine[0] = 1
 	}
-	total, err := comm.Allreduce(ctx.Comm, swapped, comm.OpSum)
+	if swapped {
+		mine[1] = 1
+	}
+	sums, err := comm.AllreduceSlice(ctx.Comm, mine, comm.OpSum)
 	if err != nil {
 		return nil, err
 	}
-	full := total == uint64(cl.size)
+	full := sums[0] == uint64(cl.size) && sums[1] > 0
 	ep := cl.epoch.Load()
 	if ctx.Rank() == 0 && full {
 		ep = cl.epoch.Add(1)
@@ -272,7 +285,7 @@ func (cl *Cluster) runCompact(ctx *core.Ctx, sc *slotState, job *analytics.Job) 
 	}
 	return &analytics.JobResult{
 		Analytic:  analytics.JobCompact,
-		Applied:   total,
+		Applied:   sums[1],
 		Compacted: full,
 		Epoch:     ep,
 	}, nil

@@ -382,6 +382,87 @@ func TestCompactIsSkippedWhenRaced(t *testing.T) {
 	}
 }
 
+// TestCompactRetryCompletesPartialSwap pins the retry after a partial swap:
+// a batch routed only to shard 1 leaves shard 0 with an empty overlay, so
+// a compact job at that version swaps shard 0 alone while shard 1 has no
+// merge yet. A retry at the same version must swap shard 1 and bump the
+// epoch once; a further retry must change nothing.
+func TestCompactRetryCompletesPartialSwap(t *testing.T) {
+	base := ingestBase(t)
+	cl, err := NewCluster(ClusterConfig{
+		Ranks:       2,
+		Threads:     1,
+		Source:      core.ListSource{Edges: base},
+		Partition:   partition.Random,
+		Seed:        7,
+		Epoch:       1,
+		NumVertices: ingestSpec.NumVertices,
+	})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer func() {
+		if err := cl.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	states, err := cl.servedStates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A new edge between two vertices of shard 1.
+	present := map[[2]uint32]bool{}
+	for i := 0; i < base.Len(); i++ {
+		present[[2]uint32{base.Src(i), base.Dst(i)}] = true
+	}
+	var batch edge.Batch
+	for u := uint32(0); batch == nil; u++ {
+		for v := u + 1; v < ingestSpec.NumVertices; v++ {
+			if states[1].part.Owner(u) == 1 && states[1].part.Owner(v) == 1 && !present[[2]uint32{u, v}] {
+				batch = edge.Batch{{Op: edge.OpInsert, Src: u, Dst: v}}
+				break
+			}
+		}
+	}
+	if _, _, err := cl.Run(&analytics.Job{Analytic: analytics.JobMutate, Mutations: batch}); err != nil {
+		t.Fatalf("mutate: %v", err)
+	}
+	if !states[0].delta.Empty() || states[1].delta.Empty() {
+		t.Fatal("batch did not route to shard 1 alone")
+	}
+	compact := func() *analytics.JobResult {
+		t.Helper()
+		res, _, err := cl.Run(&analytics.Job{Analytic: analytics.JobCompact, CompactVersion: 1})
+		if err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+		return res
+	}
+	epoch := cl.Epoch()
+
+	// Shard 1 has no materialization: only shard 0 swaps.
+	if res := compact(); res.Compacted || res.Applied != 1 || cl.Epoch() != epoch {
+		t.Fatalf("partial swap: %+v, epoch %d -> %d", res, epoch, cl.Epoch())
+	}
+	if err := states[1].materialize(); err != nil {
+		t.Fatalf("materialize: %v", err)
+	}
+	if res := compact(); !res.Compacted || res.Applied != 1 || cl.Epoch() != epoch+1 {
+		t.Fatalf("retry: %+v, epoch %d -> %d", res, epoch, cl.Epoch())
+	}
+	if res := compact(); res.Compacted || res.Applied != 0 || cl.Epoch() != epoch+1 {
+		t.Fatalf("second retry: %+v, epoch %d -> %d", res, epoch, cl.Epoch())
+	}
+	if got := cl.IngestStats().Compactions; got != 1 {
+		t.Fatalf("compactions = %d, want 1", got)
+	}
+	for s, st := range states {
+		if !st.delta.Empty() || st.compactV != 1 {
+			t.Fatalf("shard %d not compacted at version 1 (compactV %d)", s, st.compactV)
+		}
+	}
+}
+
 // TestMutatingJobsNeverCached pins scheduler behavior: two identical
 // mutate submissions both reach the cluster (no cache hit, no dedupe) and
 // each advances the epoch.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -513,23 +512,26 @@ func TestAutoSnapshotAfterCompaction(t *testing.T) {
 	if !res.Compacted {
 		t.Fatalf("compaction did not swap")
 	}
+	// Wait for the commit before opening the store: store.Open removes
+	// temp files, so opening it while the background snapshot writes
+	// would delete that snapshot's files under it.
+	deadline := time.Now().Add(20 * time.Second)
+	for ss := cl.StoreStats(); ss.Snapshots == 0 || ss.LastEpoch < res.Epoch; ss = cl.StoreStats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("auto-snapshot never committed: %+v", ss)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		m, err := st.ReadManifest()
-		if err == nil && m.Epoch >= res.Epoch {
-			break
-		}
-		if err != nil && !errors.Is(err, store.ErrNoManifest) {
-			t.Fatalf("manifest: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("auto-snapshot never committed (manifest err %v)", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	m, err := st.ReadManifest()
+	if err != nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	if m.Epoch < res.Epoch {
+		t.Fatalf("manifest epoch %d, compacted epoch %d", m.Epoch, res.Epoch)
 	}
 	// And the persisted state is bootable.
 	want := canonicalAnswers(t, cl)
